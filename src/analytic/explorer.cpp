@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <string>
 
 #include "analytic/bcat.hpp"
 #include "analytic/fast.hpp"
@@ -19,6 +20,21 @@
 
 namespace ces::analytic {
 namespace {
+
+// Records each distinct per-set value once, weighted by how many sets hold
+// it, and the `empty` sets as one weighted observation of 0: the buckets,
+// count and sum equal those of one observation per set.
+void ObserveSetLoads(support::MetricsRegistry& metrics,
+                     const std::string& name,
+                     std::vector<std::uint64_t>& per_set,
+                     std::uint64_t empty) {
+  metrics.ObserveHistogram(name, 0, empty);
+  std::sort(per_set.begin(), per_set.end());
+  for (std::size_t i = 0, j = 0; i < per_set.size(); i = j) {
+    while (j < per_set.size() && per_set[j] == per_set[i]) ++j;
+    metrics.ObserveHistogram(name, per_set[i], j - i);
+  }
+}
 
 // Deterministic distributional metrics of the prelude, recorded once on the
 // construction thread from engine-independent inputs — every engine produces
@@ -39,16 +55,18 @@ void RecordPreludeHistograms(const trace::StrippedTrace& stripped,
   }
   // Per-set load at the deepest explored depth: accesses and cold misses
   // (unique lines) per set, the paper's conflict structure at a glance.
-  const std::size_t sets = std::size_t{1} << max_index_bits;
-  const std::uint32_t mask = static_cast<std::uint32_t>(sets - 1);
-  std::vector<std::uint64_t> accesses(sets, 0);
-  std::vector<std::uint64_t> cold(sets, 0);
-  for (std::uint32_t id : stripped.ids) ++accesses[stripped.unique[id] & mask];
-  for (std::uint32_t address : stripped.unique) ++cold[address & mask];
-  for (std::size_t set = 0; set < sets; ++set) {
-    metrics->ObserveHistogram("explore.set_accesses", accesses[set]);
-    metrics->ObserveHistogram("explore.set_cold_misses", cold[set]);
-  }
+  // Tallied over the occupied sets only, O(N + N' log N'); the rest are
+  // empty.
+  const trace::OccupiedSets sets =
+      trace::NumberOccupiedSets(stripped, max_index_bits);
+  std::vector<std::uint64_t> accesses(sets.count, 0);
+  std::vector<std::uint64_t> cold(sets.count, 0);
+  for (std::uint32_t id : stripped.ids) ++accesses[sets.set_of[id]];
+  for (std::uint32_t set : sets.set_of) ++cold[set];
+  const std::uint64_t empty =
+      (std::uint64_t{1} << max_index_bits) - sets.count;
+  ObserveSetLoads(*metrics, "explore.set_accesses", accesses, empty);
+  ObserveSetLoads(*metrics, "explore.set_cold_misses", cold, empty);
 }
 
 void ValidateLineWords(std::uint32_t line_words) {

@@ -77,7 +77,10 @@ struct ExplorerOptions {
   // the "explore.prelude_seconds" span, and three deterministic histograms —
   // "stack.distance" (fully-associative LRU stack distances),
   // "explore.set_accesses" and "explore.set_cold_misses" (per-set load at
-  // the deepest explored depth); each Solve adds "explore.solve_queries".
+  // the deepest explored depth: one observation per set, computed in
+  // O(N + N' log N') over the occupied sets, with the empty sets folded into
+  // bucket 0 as one weighted observation); each Solve adds
+  // "explore.solve_queries".
   // The fused traversal additionally records its honest work counters
   // "explore.fused_nodes" / "explore.fused_refs" (plus the volatile gauge
   // "explore.cut_level"); the per-depth baseline records "stack.passes" /

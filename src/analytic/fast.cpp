@@ -1,6 +1,7 @@
 #include "analytic/fast.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <utility>
 
@@ -43,6 +44,14 @@ struct LaneScratch {
 };
 
 constexpr std::uint32_t kNoCollect = ~0u;
+
+std::uint32_t ReverseBits(std::uint32_t x) {
+  x = ((x >> 1) & 0x55555555u) | ((x & 0x55555555u) << 1);
+  x = ((x >> 2) & 0x33333333u) | ((x & 0x33333333u) << 2);
+  x = ((x >> 4) & 0x0F0F0F0Fu) | ((x & 0x0F0F0F0Fu) << 4);
+  x = ((x >> 8) & 0x00FF00FFu) | ((x & 0x00FF00FFu) << 8);
+  return (x >> 16) | (x << 16);
+}
 
 class FusedTraversal {
  public:
@@ -148,18 +157,29 @@ class FusedTraversal {
   // Upper bound on any stack distance tallied at `level`: a node there holds
   // the occurrences of the unique lines agreeing on the low `level` address
   // bits, so no distance can reach the population of the fullest residue
-  // class. Used to pre-size every histogram exactly once.
+  // class. Used to pre-size every histogram exactly once. Sorted by their
+  // bit-reversed value, the unique addresses of one residue class mod
+  // 2^level form a contiguous run (their keys share the top `level` bits),
+  // so each population is a run length over the common-prefix lengths of
+  // neighbouring keys: O(N' log N' + N' * levels), whatever 2^level is.
   std::vector<std::size_t> MaxDistinctPerLevel() const {
+    std::vector<std::uint32_t> keys(unique_.size());
+    std::transform(unique_.begin(), unique_.end(), keys.begin(), ReverseBits);
+    std::sort(keys.begin(), keys.end());
+    // shared[i]: leading bits keys[i - 1] and keys[i] agree on; always < 32
+    // because unique addresses are distinct.
+    std::vector<std::uint8_t> shared(keys.size(), 0);
+    for (std::size_t i = 1; i < keys.size(); ++i) {
+      shared[i] =
+          static_cast<std::uint8_t>(std::countl_zero(keys[i - 1] ^ keys[i]));
+    }
     std::vector<std::size_t> caps(max_bits_ + 1, 0);
-    std::vector<std::size_t> counts;
     for (std::uint32_t level = 0; level <= max_bits_; ++level) {
-      const std::uint32_t mask = level >= 32 ? ~0u : (1u << level) - 1;
-      counts.assign(std::size_t{1} << level, 0);
-      std::size_t max_count = 0;
-      for (std::uint32_t address : unique_) {
-        max_count = std::max(max_count, ++counts[address & mask]);
+      std::size_t run = 0;
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        run = i > 0 && shared[i] >= level ? run + 1 : 1;
+        caps[level] = std::max(caps[level], run);
       }
-      caps[level] = max_count;
     }
     return caps;
   }

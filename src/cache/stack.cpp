@@ -67,8 +67,8 @@ std::uint64_t StackProfile::WarmAccesses() const {
 namespace {
 
 // Reusable scan state. One instance lives across all the depths a caller (or
-// pool chunk) computes, so after the first pass warms it up the per-depth
-// baseline allocates nothing per pass: the per-set buckets keep their
+// pool chunk) computes, so after the first pass warms it up a per-depth
+// pass allocates only its set numbering: the per-set buckets keep their
 // capacity, the per-reference arrays are epoch-stamped instead of cleared,
 // and the Fenwick storage is a single high-water-mark buffer.
 struct ScanScratch {
@@ -98,10 +98,12 @@ struct ScanScratch {
   }
 };
 
-// Move-to-front pass restricted to sets in [set_begin, set_end). Every
-// reference belongs to exactly one set, so ranges partition the work: the
-// full profile is the (order-independent) sum of the range profiles.
-void ScanSetRange(const trace::StrippedTrace& stripped, std::uint32_t mask,
+// Move-to-front pass restricted to the sets numbered [set_begin, set_end)
+// (set_of: trace::NumberOccupiedSets). Every reference belongs to exactly
+// one set, so ranges partition the work: the full profile is the
+// (order-independent) sum of the range profiles.
+void ScanSetRange(const trace::StrippedTrace& stripped,
+                  const std::vector<std::uint32_t>& set_of,
                   std::size_t set_begin, std::size_t set_end,
                   StackProfile& profile, ScanScratch& scratch) {
   // One move-to-front stack of reference ids per set. Distances in embedded
@@ -109,7 +111,7 @@ void ScanSetRange(const trace::StrippedTrace& stripped, std::uint32_t mask,
   scratch.PrepareBuckets(set_end - set_begin);
   for (std::size_t j = 0; j < stripped.ids.size(); ++j) {
     const std::uint32_t id = stripped.ids[j];
-    const std::size_t set = stripped.unique[id] & mask;
+    const std::size_t set = set_of[id];
     if (set < set_begin || set >= set_end) continue;
     auto& stack = scratch.buckets[set - set_begin];
     if (stripped.is_first[j]) {
@@ -126,17 +128,18 @@ void ScanSetRange(const trace::StrippedTrace& stripped, std::uint32_t mask,
   }
 }
 
-// Bennett-Kruskal pass restricted to sets in [set_begin, set_end): per-set
-// subsequences scanned with a Fenwick tree of "most recent occurrence"
-// marks, so the number of distinct references between two occurrences is a
-// range sum.
-void ScanSetRangeTree(const trace::StrippedTrace& stripped, std::uint32_t mask,
+// Bennett-Kruskal pass restricted to the sets numbered [set_begin, set_end):
+// per-set subsequences scanned with a Fenwick tree of "most recent
+// occurrence" marks, so the number of distinct references between two
+// occurrences is a range sum.
+void ScanSetRangeTree(const trace::StrippedTrace& stripped,
+                      const std::vector<std::uint32_t>& set_of,
                       std::size_t set_begin, std::size_t set_end,
                       StackProfile& profile, ScanScratch& scratch) {
   scratch.PrepareBuckets(set_end - set_begin);
   for (std::size_t j = 0; j < stripped.ids.size(); ++j) {
     const std::uint32_t id = stripped.ids[j];
-    const std::size_t set = stripped.unique[id] & mask;
+    const std::size_t set = set_of[id];
     if (set < set_begin || set >= set_end) continue;
     scratch.buckets[set - set_begin].push_back(id);
   }
@@ -194,19 +197,21 @@ StackProfile ComputeWithScan(const trace::StrippedTrace& stripped,
                              ScanScratch* scratch) {
   StackProfile profile;
   profile.index_bits = index_bits;
-  const std::uint32_t sets = 1u << index_bits;
-  const std::uint32_t mask = sets - 1;
-  if (pool != nullptr && pool->jobs() > 1 && sets > 1) {
+  const trace::OccupiedSets sets =
+      trace::NumberOccupiedSets(stripped, index_bits);
+  if (pool != nullptr && pool->jobs() > 1 && sets.count > 1) {
     std::vector<StackProfile> partials(pool->jobs());
     std::vector<ScanScratch> scratches(pool->jobs());
     pool->ParallelForChunks(
-        sets, [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-          scan(stripped, mask, begin, end, partials[chunk], scratches[chunk]);
+        sets.count, [&](std::size_t begin, std::size_t end, std::size_t chunk) {
+          scan(stripped, sets.set_of, begin, end, partials[chunk],
+               scratches[chunk]);
         });
     MergePartials(partials, profile);
   } else {
     ScanScratch local;
-    scan(stripped, mask, 0, sets, profile, scratch ? *scratch : local);
+    scan(stripped, sets.set_of, 0, sets.count, profile,
+         scratch ? *scratch : local);
   }
   // Canonical form: hist always has at least the distance-0 bucket so that
   // profiles from different engines compare equal structurally.

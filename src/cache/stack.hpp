@@ -61,10 +61,12 @@ struct StackProfile {
 
 // Single pass over the stripped trace for one depth (move-to-front stacks;
 // O(N * mean stack depth), the fastest choice for embedded traces whose
-// reuse distances are short).
+// reuse distances are short). Per-set state covers only the sets that hold a
+// reference, numbered in set order by an O(N' log N') sort of the unique
+// lines, so no cost grows with 2^index_bits.
 //
-// When `pool` is non-null (and has more than one job), the set index space
-// is statically partitioned into contiguous ranges, one per pool chunk: every
+// When `pool` is non-null (and has more than one job), the occupied sets are
+// statically partitioned into contiguous ranges, one per pool chunk: every
 // reference belongs to exactly one set, so per-set stacks — and therefore the
 // per-chunk partial histograms — are independent, and summing the partials in
 // chunk order yields a histogram bit-identical to the serial pass for every
@@ -87,8 +89,8 @@ StackProfile ComputeStackProfileTree(const trace::StrippedTrace& stripped,
 // depth-level parallelism load-balances better than splitting the few sets
 // of the shallow depths); `use_tree` selects the Bennett-Kruskal scan. Scan
 // scratch (per-set buckets, per-reference bookkeeping, Fenwick storage) is
-// reused across the depths of a chunk, so after warm-up the passes allocate
-// nothing per depth.
+// reused across the depths of a chunk, so after warm-up a pass allocates
+// only its O(N') set numbering.
 // When `metrics` is provided, records "stack.passes" (one per depth) and
 // "stack.refs_scanned" (trace length x depths — the work a one-pass-per-depth
 // prelude performs) plus the wall-clock span "stack.all_depths_seconds".

@@ -64,6 +64,15 @@ void WriteU32LeBytes(std::ostream& os, std::uint32_t value) {
   os.write(reinterpret_cast<const char*>(bytes), sizeof(bytes));
 }
 
+// Unlinks a sealed upload's content-addressed pair: the raw <hex>.ctrc spill
+// and its <hex>.ctrz archive.
+void RemoveSpillFiles(const std::string& spill_path) {
+  std::error_code ec;
+  std::filesystem::remove(spill_path, ec);
+  std::filesystem::remove(
+      std::filesystem::path(spill_path).replace_extension(".ctrz"), ec);
+}
+
 }  // namespace
 
 trace::Trace LoadTraceRef(const std::string& ref, const std::string& kind,
@@ -140,12 +149,7 @@ TraceStore::~TraceStore() {
     std::filesystem::remove(session.path, ec);
   }
   for (auto& [digest, entry] : entries_) {
-    if (!entry.spill_path.empty()) {
-      std::filesystem::remove(entry.spill_path, ec);
-      std::filesystem::remove(
-          std::filesystem::path(entry.spill_path).replace_extension(".ctrz"),
-          ec);
-    }
+    if (!entry.spill_path.empty()) RemoveSpillFiles(entry.spill_path);
   }
   std::filesystem::remove(spill_dir_, ec);  // only if now empty
 }
@@ -225,11 +229,12 @@ void TraceStore::EvictIfNeeded() {
     const std::string victim = lru_.front();
     auto it = entries_.find(victim);
     if (!it->second.spill_path.empty()) {
-      // Drop the raw spill; the mmap view of any in-flight build keeps the
-      // inode alive until it unmaps. The compressed archive stays as the
-      // at-rest copy (docs/TRACE_FORMATS.md documents the layout).
-      std::error_code ec;
-      std::filesystem::remove(it->second.spill_path, ec);
+      // Drop the raw spill and its compressed archive: nothing reads an
+      // evicted upload back (its digest is unknown from here on), so keeping
+      // either would grow the spill directory by every upload ever taken.
+      // The mmap view of any in-flight build keeps the spill's inode alive
+      // until it unmaps.
+      RemoveSpillFiles(it->second.spill_path);
     }
     entries_.erase(it);
     lru_.pop_front();
@@ -445,7 +450,10 @@ PinnedTrace TraceStore::FinishUpload(const std::string& token) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(digest);
   if (it != entries_.end()) {
-    std::filesystem::remove(final_path, ec);
+    // A concurrent duplicate sealed first. A spill-backed winner owns these
+    // very names (the rename above replaced its spill with equal bytes);
+    // an in-memory winner owns neither file.
+    if (it->second.spill_path.empty()) RemoveSpillFiles(final_path);
     Touch(it->second);
     support::MetricsRegistry::Add(metrics_, "service.store.dedup_hits");
     support::MetricsRegistry::Add(metrics_, "service.upload.finished");

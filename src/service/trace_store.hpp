@@ -24,7 +24,8 @@
 // equivalent trace would produce. Sealed uploads stay spill-backed — the
 // entry pins an mmap TraceView instead of a materialised Trace, and the
 // explorer prelude streams straight off the page cache. A compressed CTRZ
-// twin is written next to the spill as the at-rest archive.
+// twin is written next to the spill while the entry is live; eviction
+// unlinks both files.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,6 @@
 #include "trace/strip.hpp"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "support/check.hpp"
@@ -134,6 +135,25 @@ std::uint32_t SignificantAddressBits(const StrippedTrace& stripped) {
   std::uint32_t bits = 0;
   while (differing >> bits) ++bits;
   return bits;
+}
+
+OccupiedSets NumberOccupiedSets(const StrippedTrace& stripped,
+                                std::uint32_t index_bits) {
+  const std::uint32_t mask = index_bits >= 32 ? ~0u : (1u << index_bits) - 1;
+  // Sorting set << 32 | id groups the ids of each set in set order.
+  std::vector<std::uint64_t> keys(stripped.unique_count());
+  for (std::uint32_t id = 0; id < keys.size(); ++id) {
+    keys[id] = std::uint64_t{stripped.unique[id] & mask} << 32 | id;
+  }
+  std::sort(keys.begin(), keys.end());
+  OccupiedSets sets;
+  sets.set_of.resize(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (i == 0 || keys[i] >> 32 != keys[i - 1] >> 32) ++sets.count;
+    sets.set_of[static_cast<std::uint32_t>(keys[i])] =
+        static_cast<std::uint32_t>(sets.count - 1);
+  }
+  return sets;
 }
 
 }  // namespace ces::trace

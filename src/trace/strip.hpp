@@ -63,4 +63,16 @@ TraceStats ComputeStats(const TraceView& view, std::uint32_t line_words = 1);
 // of the trace; levels beyond this depth cannot split any BCAT node further.
 std::uint32_t SignificantAddressBits(const StrippedTrace& stripped);
 
+// The sets of a 2^index_bits-set cache that hold at least one unique line,
+// numbered 0 .. count - 1 in set order. Per-set state indexed by these
+// numbers follows the N' lines, never the 2^index_bits sets.
+struct OccupiedSets {
+  std::vector<std::uint32_t> set_of;  // id -> number of its line's set
+  std::size_t count = 0;
+};
+
+// O(N' log N'), whatever index_bits is.
+OccupiedSets NumberOccupiedSets(const StrippedTrace& stripped,
+                                std::uint32_t index_bits);
+
 }  // namespace ces::trace

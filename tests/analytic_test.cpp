@@ -2,6 +2,14 @@
 // postlude, fused engine, explorer facade) beyond the paper's example.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <unordered_set>
+#include <vector>
+
 #include "analytic/bcat.hpp"
 #include "analytic/explorer.hpp"
 #include "analytic/fast.hpp"
@@ -9,12 +17,25 @@
 #include "analytic/postlude.hpp"
 #include "analytic/zeroone.hpp"
 #include "cache/stack.hpp"
+#include "support/metrics.hpp"
+#include "support/rng.hpp"
 #include "trace/strip.hpp"
 #include "trace/synthetic.hpp"
+#include "trace/trace_view.hpp"
+
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define CES_UNDER_ASAN 1
+#endif
+#endif
+#if !defined(CES_UNDER_ASAN) && defined(__SANITIZE_ADDRESS__)
+#define CES_UNDER_ASAN 1
+#endif
 
 namespace {
 
 using namespace ces::analytic;
+using ces::support::MetricsRegistry;
 using ces::trace::Strip;
 using ces::trace::StrippedTrace;
 using ces::trace::Trace;
@@ -271,6 +292,176 @@ TEST(ExplorerTest, ReferenceAndFusedFacadesAgree) {
   for (std::uint64_t k : {0ull, 3ull, 17ull, 200ull}) {
     EXPECT_EQ(fused.Solve(k).points, reference.Solve(k).points) << k;
   }
+}
+
+// `refs` references drawn uniformly from `lines` distinct random
+// `bits`-bit word addresses: few lines spread over a wide address space, so
+// almost every set of a deep cache is empty.
+Trace SparseWideTrace(std::uint64_t seed, std::uint32_t refs,
+                      std::uint32_t lines, std::uint32_t bits) {
+  ces::Rng rng(seed);
+  std::unordered_set<std::uint32_t> seen;
+  std::vector<std::uint32_t> pool;
+  while (pool.size() < lines) {
+    const auto address =
+        static_cast<std::uint32_t>(rng.NextBounded(std::uint64_t{1} << bits));
+    if (seen.insert(address).second) pool.push_back(address);
+  }
+  Trace trace;
+  trace.address_bits = bits;
+  trace.refs.reserve(refs);
+  for (std::uint32_t i = 0; i < refs; ++i) {
+    trace.refs.push_back(pool[rng.NextBounded(lines)]);
+  }
+  return trace;
+}
+
+constexpr const char* kPreludeHistograms[] = {
+    "stack.distance", "explore.set_accesses", "explore.set_cold_misses"};
+
+// The prelude histograms by definition: the Mattson fully-associative
+// profile for "stack.distance", and one observation per set — all
+// 2^max_index_bits of them, empty ones included — for the per-set loads.
+// Dense by construction, so it is the oracle for the explorer's sparse
+// recording.
+void RecordDensePreludeHistograms(const StrippedTrace& stripped,
+                                  std::uint32_t max_index_bits,
+                                  MetricsRegistry& oracle) {
+  const ces::cache::StackProfile fa =
+      ces::cache::ComputeStackProfile(stripped, 0);
+  for (std::size_t d = 0; d < fa.hist.size(); ++d) {
+    oracle.ObserveHistogram("stack.distance", d, fa.hist[d]);
+  }
+  const std::size_t sets = std::size_t{1} << max_index_bits;
+  const auto mask = static_cast<std::uint32_t>(sets - 1);
+  std::vector<std::uint64_t> accesses(sets, 0);
+  std::vector<std::uint64_t> cold(sets, 0);
+  for (std::uint32_t id : stripped.ids) ++accesses[stripped.unique[id] & mask];
+  for (std::uint32_t address : stripped.unique) ++cold[address & mask];
+  const std::string accesses_name = "explore.set_accesses";
+  const std::string cold_name = "explore.set_cold_misses";
+  for (std::size_t set = 0; set < sets; ++set) {
+    oracle.ObserveHistogram(accesses_name, accesses[set]);
+    oracle.ObserveHistogram(cold_name, cold[set]);
+  }
+}
+
+void ExpectSameHistograms(const MetricsRegistry& got,
+                          const MetricsRegistry& want,
+                          const std::string& context) {
+  for (const char* name : kPreludeHistograms) {
+    const auto g = got.histogram(name);
+    const auto w = want.histogram(name);
+    EXPECT_EQ(g.buckets, w.buckets) << context << ' ' << name;
+    EXPECT_EQ(g.count, w.count) << context << ' ' << name;
+    EXPECT_EQ(g.sum, w.sum) << context << ' ' << name;
+  }
+}
+
+// Both constructors at jobs 1 and 4 must record exactly the dense oracle's
+// histograms for the depth the explorer settled on.
+void ExpectPreludeHistogramsMatchDenseOracle(const Trace& trace,
+                                             ExplorerOptions options,
+                                             const std::string& label) {
+  const StrippedTrace stripped =
+      Strip(options.line_words == 1
+                ? trace
+                : ces::trace::WithLineSize(trace, options.line_words));
+  const std::uint32_t bits = std::min(
+      options.max_index_bits, ces::trace::SignificantAddressBits(stripped));
+  MetricsRegistry oracle;
+  RecordDensePreludeHistograms(stripped, bits, oracle);
+  const ces::trace::MemoryTraceView view(std::make_shared<const Trace>(trace));
+  for (const std::uint32_t jobs : {1u, 4u}) {
+    options.jobs = jobs;
+    MetricsRegistry from_trace;
+    MetricsRegistry from_view;
+    options.metrics = &from_trace;
+    const Explorer in_memory(trace, options);
+    options.metrics = &from_view;
+    const Explorer streamed(view, options);
+    ASSERT_EQ(in_memory.max_index_bits(), bits);
+    ASSERT_EQ(streamed.max_index_bits(), bits);
+    const std::string context = label + " jobs=" + std::to_string(jobs);
+    ExpectSameHistograms(from_trace, oracle, context + " Trace");
+    ExpectSameHistograms(from_view, oracle, context + " TraceView");
+  }
+}
+
+TEST(PreludeHistograms, SparseRecordingMatchesDenseOracleOnRandomTraces) {
+  ces::Rng rng(2024);
+  for (int round = 0; round < 6; ++round) {
+    const Trace trace =
+        round % 2 == 0
+            ? ces::trace::LocalityMix(rng, 32 + 16 * round, 400, 3000)
+            : ces::trace::RandomWorkingSet(rng, 64 * round, 2500, 0x4000);
+    for (const std::uint32_t bits : {3u, 9u, 16u}) {
+      for (const std::uint32_t line_words : {1u, 4u}) {
+        ExpectPreludeHistogramsMatchDenseOracle(
+            trace, {.max_index_bits = bits, .line_words = line_words},
+            "round=" + std::to_string(round) + " bits=" +
+                std::to_string(bits) + " line_words=" +
+                std::to_string(line_words));
+      }
+    }
+  }
+}
+
+TEST(PreludeHistograms, SparseRecordingMatchesDenseOracleOnWideTraces) {
+  // Random 26-bit addresses explored 22 bits deep: 2^22 sets, of which at
+  // most 1,500 are occupied.
+  const Trace trace = SparseWideTrace(1, 12'000, 1'500, 26);
+  for (const std::uint32_t line_words : {1u, 2u}) {
+    ExpectPreludeHistogramsMatchDenseOracle(
+        trace, {.max_index_bits = 22, .line_words = line_words},
+        "line_words=" + std::to_string(line_words));
+  }
+}
+
+TEST(PreludeHistograms, SparseRecordingMatchesDenseOracleOnDegenerateTraces) {
+  for (const std::uint32_t line_words : {1u, 8u}) {
+    const std::string suffix = " line_words=" + std::to_string(line_words);
+    ExpectPreludeHistogramsMatchDenseOracle(
+        Trace{}, {.max_index_bits = 12, .line_words = line_words},
+        "empty" + suffix);
+    ExpectPreludeHistogramsMatchDenseOracle(
+        FromRefs({0x2a0, 0x2a0, 0x2a0, 0x2a0}),
+        {.max_index_bits = 12, .line_words = line_words},
+        "single line" + suffix);
+  }
+}
+
+TEST(ExplorerTest, WideRequestKeepsResidentSetBoundedByTheTrace) {
+#ifdef CES_UNDER_ASAN
+  GTEST_SKIP() << "ru_maxrss is dominated by sanitizer shadow memory";
+#else
+  // A 26-bit request over 4,000 lines: set-up and metrics sized by
+  // 2^max_index_bits would touch 2^26-entry arrays (over 1 GB); sized by
+  // the trace, the whole exploration fits in a few MiB.
+  const Trace trace = SparseWideTrace(7, 40'000, 4'000, 26);
+  MetricsRegistry metrics;
+
+  struct rusage before {};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &before), 0);
+  const Explorer explorer(trace,
+                          {.max_index_bits = 26, .metrics = &metrics});
+  struct rusage after {};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &after), 0);
+
+  ASSERT_EQ(explorer.max_index_bits(), 26u);
+  EXPECT_EQ(explorer.profiles().size(), 27u);
+  // Every one of the 2^26 sets is still observed once.
+  EXPECT_EQ(metrics.histogram("explore.set_accesses").count,
+            std::uint64_t{1} << 26);
+  EXPECT_EQ(metrics.histogram("explore.set_accesses").sum, trace.refs.size());
+  EXPECT_EQ(metrics.histogram("explore.set_cold_misses").sum, 4'000u);
+
+  // ru_maxrss is in KiB on Linux.
+  const long delta_kib = after.ru_maxrss - before.ru_maxrss;
+  EXPECT_LT(delta_kib, 64 * 1024)
+      << "a 26-bit exploration of a 40k-reference trace grew peak RSS by "
+      << delta_kib << " KiB";
+#endif
 }
 
 }  // namespace

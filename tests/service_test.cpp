@@ -524,7 +524,7 @@ TEST(TraceStore, UploadDedupesAgainstExistingInMemoryEntry) {
   EXPECT_FALSE(std::filesystem::exists(spill + "/" + hex + ".ctrc"));
 }
 
-TEST(TraceStore, EvictedUploadUnlinksSpillButKeepsArchiveAndLiveViews) {
+TEST(TraceStore, EvictedUploadUnlinksSpillAndArchiveButKeepsLiveViews) {
   MetricsRegistry metrics;
   const std::string spill = TempPath(".spill");
   TraceStore store(1, &metrics, spill);
@@ -538,13 +538,48 @@ TEST(TraceStore, EvictedUploadUnlinksSpillButKeepsArchiveAndLiveViews) {
 
   store.Ingest(ces::trace::PaperExampleTrace());  // capacity 1: evicts it
   EXPECT_FALSE(store.Find(uploaded.digest).pinned());
-  // The raw spill is unlinked on eviction; the CTRZ archive stays as the
-  // at-rest copy.
+  // Eviction unlinks the raw spill and its CTRZ archive: an evicted digest
+  // is unknown from then on, so nothing would ever read either back.
   EXPECT_FALSE(std::filesystem::exists(spill + "/" + hex + ".ctrc"));
-  EXPECT_TRUE(std::filesystem::exists(spill + "/" + hex + ".ctrz"));
+  EXPECT_FALSE(std::filesystem::exists(spill + "/" + hex + ".ctrz"));
   // POSIX semantics: the handed-out view maps the unlinked inode and stays
   // fully readable.
   EXPECT_EQ(ces::trace::MaterializeTrace(*uploaded.view).refs, trace.refs);
+}
+
+TEST(TraceStore, SpillDirectoryHoldsOnlyLiveUploadsAndGoesWithTheStore) {
+  constexpr std::size_t kMaxTraces = 2;
+  const std::string spill = TempPath(".spill");
+  std::set<std::string> live;
+  {
+    MetricsRegistry metrics;
+    TraceStore store(kMaxTraces, &metrics, spill);
+    std::vector<std::string> digests;
+    for (std::size_t i = 0; i < kMaxTraces + 3; ++i) {
+      ces::Rng rng(0x5eed + i);
+      const ces::trace::Trace trace = ces::trace::LocalityMix(rng, 16, 256, 800);
+      const std::string token = store.BeginUpload(
+          trace.kind, trace.address_bits, trace.refs.size(), trace.name);
+      store.AppendUploadChunk(token, 0, trace.refs.data(), trace.refs.size());
+      digests.push_back(store.FinishUpload(token).digest);
+    }
+    EXPECT_EQ(metrics.counter("service.store.evicted"), 3u);
+
+    // The LRU keeps the last kMaxTraces uploads; the directory holds their
+    // spill + archive pairs and nothing of the evicted three.
+    std::set<std::string> expected;
+    for (std::size_t i = digests.size() - kMaxTraces; i < digests.size(); ++i) {
+      ASSERT_TRUE(store.Find(digests[i]).pinned());
+      expected.insert(digests[i].substr(7) + ".ctrc");
+      expected.insert(digests[i].substr(7) + ".ctrz");
+    }
+    for (const auto& file : std::filesystem::directory_iterator(spill)) {
+      live.insert(file.path().filename().string());
+    }
+    EXPECT_EQ(live, expected);
+  }
+  EXPECT_EQ(live.size(), 2 * kMaxTraces);
+  EXPECT_FALSE(std::filesystem::exists(spill));
 }
 
 TEST(TraceStore, VanishedSpillFileSurfacesAsIoError) {
